@@ -88,13 +88,15 @@
 //     (sharer and lost bitsets, busy-until tick, transfer count) so a
 //     write's invalidation broadcast walks only actual sharers instead of
 //     scanning all P caches.
-//   - internal/rws runs strands with an inline run-ahead engine: whichever
-//     goroutine holds the engine baton applies its own timed requests
-//     directly while its processor keeps the (clock, proc) minimum in the
-//     indexed clock min-heap, executes idle processors' steal attempts and
-//     deque pops itself, and hands the baton straight to the next strand —
-//     one goroutine switch per strand interleaving, zero everywhere else.
-//     Fork metadata (join cells, spawns, strand goroutines, stolen tasks
+//   - internal/rws runs strands as pooled iter.Pull coroutines with an
+//     inline run-ahead engine: the running strand applies its own timed
+//     requests directly while its processor keeps the (clock, proc)
+//     minimum in the indexed clock min-heap, and executes idle processors'
+//     steal attempts and deque pops itself. When another strand must run,
+//     it yields that strand to the goroutine that called Run, which
+//     resumes it — two coroutine switches per strand interleaving, none
+//     everywhere else, and no channel or scheduler goroutine involved.
+//     Fork metadata (join cells, spawns, strand coroutines, stolen tasks
 //     and their stacks) is recycled through per-engine free lists fed by
 //     slab allocations, and ForkN trees fork leaf *ranges* instead of
 //     per-node closures, so the steady state allocates nothing.
@@ -112,8 +114,8 @@
 //   - rws.Engine.Reset(cfg) readies a finished engine for another Run under
 //     an arbitrarily different Config (P, policy, topology, pricing,
 //     budget). Slabs, free lists, deque ring buffers, the clock heap and the
-//     parked strand goroutines all survive; a reset engine is persistent and
-//     must be released with Close when retired.
+//     suspended strand coroutines all survive; a reset engine is persistent
+//     and must be released with Close when retired.
 //   - machine.Machine.Reset(params) resets coherence state by *generation
 //     stamp*: cache-index and directory pages carry the generation they were
 //     last valid in, a reset bumps the counter in O(1), and a stale page is

@@ -34,7 +34,7 @@ const idxPageLen = 1 << idxPageShift
 
 // idxArenaPages sets how many pages one arena chunk backs; small, so the
 // last chunk of a short run wastes little zeroed memory.
-const idxArenaPages = 4
+const idxArenaPages = 8
 
 // node is one LRU list entry. Index 0 is the sentinel of the circular
 // recency list (next = MRU, prev = LRU); indices 1..capacity are blocks.
@@ -122,10 +122,13 @@ func (c *Cache) lookup(b mem.BlockID) int32 {
 func (c *Cache) slot(b mem.BlockID) *int32 {
 	pg := uint64(b) >> idxPageShift
 	if pg >= uint64(len(c.index)) {
-		grown := make([][]int32, pg+1)
+		// Grow geometrically: stolen tasks' stacks land on ever higher
+		// block IDs, and a page-at-a-time index regrew on each new page.
+		n := max(pg+1, 2*uint64(len(c.index)))
+		grown := make([][]int32, n)
 		copy(grown, c.index)
 		c.index = grown
-		grownGen := make([]uint32, pg+1)
+		grownGen := make([]uint32, n)
 		copy(grownGen, c.pageGen)
 		c.pageGen = grownGen
 	}

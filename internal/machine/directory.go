@@ -145,7 +145,9 @@ type dirRef struct {
 func (d *directory) entry(bid mem.BlockID) dirRef {
 	pg := uint64(bid) >> dirPageShift
 	if pg >= uint64(len(d.pages)) {
-		grown := make([]*dirPage, pg+1)
+		// Geometric growth, like the cache index: new stacks keep raising
+		// the highest block ID.
+		grown := make([]*dirPage, max(pg+1, 2*uint64(len(d.pages))))
 		copy(grown, d.pages)
 		d.pages = grown
 	}

@@ -78,7 +78,7 @@ func BenchmarkStealHeavy(b *testing.B) {
 
 // BenchmarkForkJoinReuse is BenchmarkForkJoinThroughput through one engine
 // Reset between iterations: the same simulated runs, but with slabs, free
-// lists, memory pages, cache/directory pages and parked strand goroutines
+// lists, memory pages, cache/directory pages and suspended strand coroutines
 // carried across runs. Tracked in BENCH_rws.json with an allocs/op ceiling
 // (scripts/bench.sh): the steady state must stay at or under 10 allocs/op.
 func BenchmarkForkJoinReuse(b *testing.B) {
@@ -109,7 +109,7 @@ func BenchmarkForkJoinReuse(b *testing.B) {
 // between iterations (seeds still vary per iteration, as in the fresh-engine
 // benchmark). The delta against BenchmarkStealHeavy is the whole per-run
 // construction bill: machine, caches, directory, memory pages, stacks and
-// strand goroutines.
+// strand coroutines.
 func BenchmarkStealHeavyReuse(b *testing.B) {
 	cfg := DefaultConfig(8)
 	e := MustNewEngine(cfg)

@@ -3,6 +3,7 @@ package rws
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 
 	"rwsfs/internal/exec"
@@ -89,9 +90,9 @@ type Result struct {
 	StacksReused  int   // regions recycled from the pool
 	// StrandsLaunched is the peak number of strands simultaneously checked
 	// out of the strand pool. On a single-use engine that is exactly the
-	// goroutines created (a launch happens precisely when the free list is
-	// empty); a Reset engine re-parks its goroutines across runs, so the
-	// peak is reported instead of the cross-run launch total to keep reused
+	// coroutines created (a launch happens precisely when the free list is
+	// empty); a Reset engine keeps its coroutines across runs, so the peak
+	// is reported instead of the cross-run launch total to keep reused
 	// Results bit-identical to fresh ones.
 	StrandsLaunched int
 
@@ -104,15 +105,16 @@ type Result struct {
 // NewEngine, populate simulated memory through Machine(), then call Run
 // once. To run again — under the same or a completely different Config —
 // Reset the engine between runs: a reset engine reuses its slabs, free
-// lists, memory pages, and parked strand goroutines, producing Results
+// lists, memory pages, and suspended strand coroutines, producing Results
 // bit-for-bit identical to a fresh engine's while allocating near-zero in
 // steady state (see Reset and harness.Runner, which pools reset engines
 // across experiment sweeps).
 //
-// At runtime exactly one goroutine at a time — the baton holder — touches
-// Engine state: either the goroutine that called Run (start, drain, collect)
-// or one strand goroutine (see the package comment's run-ahead protocol).
-// No Engine state is locked; the baton's channel handoffs order everything.
+// At runtime one thread of control at a time touches Engine state: the
+// goroutine that called Run (the driver: start, drain, collect) or the one
+// strand coroutine it resumed (see the package comment's run-ahead
+// protocol). No Engine state is locked: a coroutine switch hands control
+// over, and orders memory, like a function call.
 type Engine struct {
 	cfg    Config
 	mach   *machine.Machine
@@ -138,13 +140,11 @@ type Engine struct {
 	// decide when to escalate a probe beyond the thief's socket. Pure
 	// scheduler bookkeeping: it never feeds costs or counters itself.
 	consecFail []int32
-	// heapDirty marks that the baton holder advanced its clock with pure
+	// heapDirty marks that the running strand advanced its clock with pure
 	// work charges without re-checking the heap; the next shared-state
 	// operation syncs (fix + possible yield) before touching anything
-	// another processor can observe. The baton never passes while dirty.
+	// another processor can observe. No strand yields while it is dirty.
 	heapDirty bool
-	// baton returns control to the engine goroutine on completion or panic.
-	baton chan batonNote
 
 	stealBudget int64
 	done        bool
@@ -156,7 +156,7 @@ type Engine struct {
 	audit     *auditor
 
 	// Free lists for the recycled scheduling metadata (see the package
-	// comment's pooling lifecycle). Only the baton holder touches them.
+	// comment's pooling lifecycle).
 	// First use carves objects out of slabs so warming the pools costs a
 	// couple of allocations, not one per live object.
 	jcFree     []*joinCell
@@ -174,12 +174,12 @@ type Engine struct {
 	// len(allStrands) exactly (see Result.StrandsLaunched).
 	strandsOut int
 	strandPeak int
-	// persistent keeps the strand goroutines parked after Run instead of
-	// shutting them down, so the next Reset+Run reuses them. Set by Reset;
-	// a persistent engine must be released with Close.
+	// persistent keeps the strand coroutines suspended after Run instead of
+	// stopping them, so the next Reset+Run reuses them. Set by Reset; a
+	// persistent engine must be released with Close.
 	persistent bool
-	// strandsShut records that shutdown ended the pooled goroutines; Reset
-	// then discards the dead strand pool so the next run relaunches.
+	// strandsShut records that shutdown stopped the pooled coroutines;
+	// Reset then discards the dead strand pool so the next run relaunches.
 	strandsShut bool
 	// closed marks an engine retired by Close: Run panics with a clear
 	// message and Reset returns ErrEngineClosed instead of reviving it.
@@ -220,7 +220,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		fastPath:    !cfg.DisableFastPath,
 		stealPriced: m.StealPriced(),
 		consecFail:  make([]int32, cfg.Machine.P),
-		baton:       make(chan batonNote, 1),
 		stealBudget: cfg.StealBudget,
 		policy:      cfg.Policy,
 	}
@@ -249,7 +248,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // ErrEngineClosed is returned by Reset on an engine that was released with
-// Close. A closed engine is retired for good: its pooled strand goroutines
+// Close. A closed engine is retired for good: its pooled strand coroutines
 // are gone and it cannot be revived — construct a new engine instead.
 var ErrEngineClosed = errors.New("rws: engine is closed")
 
@@ -268,14 +267,16 @@ func MustNewEngine(cfg Config) *Engine {
 // structure alive: metadata slabs and free lists, deque ring buffers, the
 // clock heap, simulated memory pages (recycled through the mem free list),
 // cache and directory pages (invalidated by generation stamps, revalidated
-// lazily), exec stack structs, and the parked strand goroutines. A reset
+// lazily), exec stack structs, and the suspended strand coroutines. A reset
 // engine produces Results bit-for-bit identical to a fresh NewEngine(cfg) —
 // the reuse differential tests and FuzzEngineReuse hold it to that.
 //
 // Reset marks the engine persistent: subsequent Runs leave the strand
-// goroutines parked on their job channels instead of shutting them down, so
-// back-to-back runs launch no goroutines in steady state. A persistent
-// engine must be released with Close once it is no longer needed.
+// coroutines suspended, waiting for their next job, instead of stopping
+// them, so back-to-back runs start no coroutines in steady state. A
+// persistent engine must be released with Close once it is no longer
+// needed. Runs of a persistent engine may happen on different goroutines,
+// one at a time.
 //
 // Reset is only valid before the first Run or after a Run that returned
 // normally; an engine whose Run panicked must be discarded. On an invalid
@@ -361,8 +362,8 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	e.strandsOut, e.strandPeak = 0, 0
 	if e.strandsShut {
-		// A previous non-persistent Run ended the pooled goroutines; drop
-		// the dead strands so newStrand relaunches fresh ones.
+		// A previous non-persistent or panicked Run stopped the pooled
+		// coroutines; drop the dead strands so newStrand relaunches.
 		e.allStrands = e.allStrands[:0]
 		e.strandFree = e.strandFree[:0]
 		e.strandSlab = nil
@@ -372,11 +373,11 @@ func (e *Engine) Reset(cfg Config) error {
 	return nil
 }
 
-// Close shuts down a persistent engine's parked strand goroutines and
-// retires the engine: a closed engine cannot Run again, and Reset on it
-// returns ErrEngineClosed. Close is idempotent — second and later calls are
-// no-ops — and safe on an engine that never ran (there is nothing to shut
-// down yet) or whose goroutines already exited (a single-use Run).
+// Close stops a persistent engine's suspended strand coroutines and retires
+// the engine: a closed engine cannot Run again, and Reset on it returns
+// ErrEngineClosed. Close is idempotent — second and later calls are no-ops —
+// and safe on an engine that never ran (there is nothing to stop yet) or
+// whose coroutines already ended (a single-use or panicked Run).
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -420,11 +421,19 @@ func (e *Engine) run(rootFn func(*Ctx), perProc bool) Result {
 	e.running[0] = st
 	st.proc = 0
 
-	// All clocks are zero, so processor 0 holds the minimum: hand the root
-	// strand the baton and wait for it to come back (completion or panic).
-	st.sendWake(0)
-	e.recvBaton()
+	// A panicking run leaves strands suspended mid-job; stop them all so a
+	// discarded engine holds no coroutines.
+	completed := false
+	defer func() {
+		if !completed {
+			e.shutdown()
+		}
+	}()
+	// All clocks are zero, so processor 0 holds the minimum: the root strand
+	// runs first, until the root finish yields control back here.
+	e.drive(st)
 	e.drain()
+	completed = true
 	if !e.persistent {
 		e.shutdown()
 	}
@@ -432,18 +441,21 @@ func (e *Engine) run(rootFn func(*Ctx), perProc bool) Result {
 	return e.collect(perProc)
 }
 
-// recvBaton blocks until a strand hands the baton back to the engine
-// goroutine, re-raising any algorithm panic.
-func (e *Engine) recvBaton() {
-	if note := <-e.baton; note.pv != nil {
-		panic(fmt.Sprintf("rws: algorithm panicked on processor %d: %v", note.proc, note.pv))
+// drive resumes st, and then every strand a resumed strand yields, until one
+// yields nil. A strand's algorithm panic propagates out of its resume.
+func (e *Engine) drive(st *strand) {
+	for st != nil {
+		var ok bool
+		if st, ok = st.next(); !ok {
+			panic("rws: strand coroutine ended mid-run")
+		}
 	}
 }
 
 // drain retires strands that already reported their join completion but had
 // not yet finished when the root completed. At that point every join in the
 // dag is complete, so each remaining strand's next action is its finish,
-// which hands the baton straight back (finishStrand sees done).
+// which yields straight back to the driver (finishStrand sees done).
 func (e *Engine) drain() {
 	for spins := 0; ; spins++ {
 		if spins > len(e.running)+4 {
@@ -455,8 +467,7 @@ func (e *Engine) drain() {
 				continue
 			}
 			pending = true
-			st.sendWake(p)
-			e.recvBaton()
+			e.drive(st)
 			if e.running[p] != nil {
 				panic("rws: drained strand did not finish")
 			}
@@ -467,20 +478,20 @@ func (e *Engine) drain() {
 	}
 }
 
-// shutdown ends every pooled strand goroutine. By the end of drain each one
-// is parked on (or heading for) its job channel, so closing it exits the
-// loop. Persistent engines skip this after Run and keep the goroutines
-// parked for the next Reset+Run; Close calls it when the engine retires.
+// shutdown stops every pooled strand coroutine. A suspended strand unwinds
+// its stack from the yield it waits in; a finished or never-started one has
+// nothing to unwind. Persistent engines skip this after Run and keep the
+// coroutines for the next Reset+Run; Close calls it when the engine retires.
 func (e *Engine) shutdown() {
 	for _, st := range e.allStrands {
-		st.shut()
+		st.stop()
 	}
 	e.strandsShut = true
 }
 
 // idleStep advances idle processor p by one action: popping its own deque
 // bottom (the paper's "retrieves the task from the bottom of its queue") or
-// attempting one steal. Runs inline in whichever goroutine holds the baton.
+// attempting one steal. Runs inline in whichever strand is running.
 func (e *Engine) idleStep(p int) {
 	if sp := e.popOwnBottom(p); sp != nil {
 		e.idlePops++
@@ -492,15 +503,16 @@ func (e *Engine) idleStep(p int) {
 	e.sched.fix(p)
 }
 
-// handoff runs the engine loop until a strand must execute, then passes the
-// baton to it without waiting. Called by a finishing strand (which may hand
-// the baton to itself for a freshly assigned job — resume is buffered for
-// exactly that).
-func (e *Engine) handoff() {
+// schedule runs the engine loop in self, the running strand, until a strand
+// must execute: it returns directly when that is self, and otherwise yields
+// that strand to the driver, returning once self is resumed.
+func (e *Engine) schedule(self *strand) {
 	for {
 		p := e.sched.min()
 		if st := e.running[p]; st != nil {
-			st.sendWake(p)
+			if st != self {
+				self.pass(st)
+			}
 			return
 		}
 		e.idleStep(p)
@@ -641,9 +653,8 @@ func (e *Engine) putTask(t *Task) {
 	e.taskFree = append(e.taskFree, t)
 }
 
-// newStrand binds job to a pooled strand (launching a goroutine only when
-// the free list is empty) and queues the job; the strand then waits for the
-// baton.
+// newStrand binds job to a pooled strand, starting a coroutine only when
+// the free list is empty; the strand runs the job once it is resumed.
 func (e *Engine) newStrand(t *Task, job strandJob) *strand {
 	var st *strand
 	if n := len(e.strandFree); n > 0 {
@@ -655,10 +666,8 @@ func (e *Engine) newStrand(t *Task, job strandJob) *strand {
 		}
 		st = &e.strandSlab[0]
 		e.strandSlab = e.strandSlab[1:]
-		st.resume = make(chan wake, 1)
-		st.cond.L = &st.mu
+		st.next, st.stop = iter.Pull(e.strandBody(st))
 		e.allStrands = append(e.allStrands, st)
-		go e.strandLoop(st)
 	}
 	st.id = e.strandSeq
 	e.strandSeq++
@@ -669,43 +678,44 @@ func (e *Engine) newStrand(t *Task, job strandJob) *strand {
 	if e.strandsOut > e.strandPeak {
 		e.strandPeak = e.strandsOut
 	}
-	st.sendJob(job)
+	st.job = job
 	return st
 }
 
-// putStrand parks a finished strand on the free list; its goroutine loops
-// back to the job channel.
+// putStrand returns a finished strand to the free list; its coroutine stays
+// suspended in finishStrand until it is handed its next job.
 func (e *Engine) putStrand(st *strand) {
 	st.task = nil
 	e.strandsOut--
 	e.strandFree = append(e.strandFree, st)
 }
 
-// strandLoop is the body of one pooled strand goroutine: run jobs until the
-// engine shuts the channel at the end of Run.
-func (e *Engine) strandLoop(st *strand) {
-	for {
-		job, ok := st.waitJob()
-		if !ok {
-			return
+// strandBody is the body of one pooled strand coroutine: run jobs until
+// stopped. An algorithm panic leaves it tagged with the processor it hit.
+func (e *Engine) strandBody(st *strand) iter.Seq[*strand] {
+	return func(yield func(*strand) bool) {
+		st.yield = yield
+		defer func() {
+			if pv := recover(); pv != nil {
+				if _, stopped := pv.(strandStopped); !stopped {
+					panic(fmt.Sprintf("rws: algorithm panicked on processor %d: %v", st.proc, pv))
+				}
+			}
+		}()
+		for {
+			e.runJob(st)
 		}
-		e.runJob(st, job)
 	}
 }
 
-// runJob executes one kernel piece; it waits for the baton, runs the fork
-// closure or leaf range, reports on the join flag, and finishes (which
-// passes the baton on).
-func (e *Engine) runJob(st *strand, job strandJob) {
-	p := st.recvWake()
-	st.proc = p
-	st.ctx = Ctx{e: e, t: job.task, s: st, proc: p}
+// runJob executes the strand's job: it runs the fork closure or leaf range,
+// reports on the join flag, and finishes (which yields control on, or
+// returns directly when this strand was handed its next job).
+func (e *Engine) runJob(st *strand) {
+	job := st.job
+	st.job = strandJob{}
+	st.ctx = Ctx{e: e, t: job.task, s: st, proc: st.proc}
 	c := &st.ctx
-	defer func() {
-		if pv := recover(); pv != nil {
-			e.baton <- batonNote{proc: st.proc, pv: pv}
-		}
-	}()
 	if job.fn != nil {
 		job.fn(c)
 	} else {
@@ -774,9 +784,8 @@ func (e *Engine) putSpawn(sp *spawn) {
 	e.spFree = append(e.spFree, sp)
 }
 
-// Deque operations. These are called from whichever goroutine holds the
-// baton; the baton discipline means only one is ever active, so no locking
-// is needed.
+// Deque operations. Only the running strand calls them, so no locking is
+// needed.
 
 func (e *Engine) pushBottom(p int, sp *spawn) {
 	e.deques[p].pushBottom(sp)

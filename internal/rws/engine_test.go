@@ -240,7 +240,7 @@ func TestCloseIsIdempotent(t *testing.T) {
 	e.Close()
 	e.Close()
 
-	// Close after a persistent (Reset) Run: parked goroutines shut once.
+	// Close after a persistent (Reset) Run: suspended coroutines stop once.
 	e = MustNewEngine(DefaultConfig(2))
 	if err := e.Reset(DefaultConfig(2)); err != nil {
 		t.Fatalf("Reset: %v", err)
@@ -249,7 +249,7 @@ func TestCloseIsIdempotent(t *testing.T) {
 	e.Close()
 	e.Close()
 
-	// Close after a single-use Run, whose goroutines already exited.
+	// Close after a single-use Run, whose coroutines already stopped.
 	e = MustNewEngine(DefaultConfig(2))
 	e.Run(func(c *Ctx) { c.Node() })
 	e.Close()

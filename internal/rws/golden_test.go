@@ -322,11 +322,123 @@ func policyGoldenCases() []golden {
 	}
 }
 
+// largePGoldenCases pins the wide-machine regime: Uniform and Hierarchical
+// at P = 128 and 256, where hundreds of strands are live at once, the clock
+// heap is eight or nine levels deep, and a hot block shared by every leaf
+// needs multi-word sharer bitsets. Values were recorded from the
+// channel-handoff engine that preceded coroutine strands, so the oracle
+// does not come from the code it checks.
+func largePGoldenCases() []golden {
+	// wide reads a hot 16-word block from every leaf (a sharer set spanning
+	// the whole machine) next to false-sharing adjacent-word writes.
+	wide := func(leaves int) func(*Ctx, mem.Addr) {
+		return func(c *Ctx, base mem.Addr) {
+			c.ForkN(leaves, func(j int, c *Ctx) {
+				c.Work(machine.Tick(3 + j%5))
+				c.StoreInt(base+16+mem.Addr(j), int64(j))
+				c.LoadInt(base + 16 + mem.Addr((j+1)%leaves))
+				c.LoadInt(base + mem.Addr(j%16))
+			})
+		}
+	}
+	// lopsided is a recursive fork tree with imbalanced leaf work, keeping
+	// thieves hungry so the probe ladder and usurpations stay busy.
+	lopsided := func(leaves int) func(*Ctx, mem.Addr) {
+		return func(c *Ctx, base mem.Addr) {
+			var rec func(c *Ctx, lo, hi int)
+			rec = func(c *Ctx, lo, hi int) {
+				if hi-lo <= 2 {
+					for i := lo; i < hi; i++ {
+						c.Work(machine.Tick(3 + (i%7)*11))
+						c.StoreInt(base+mem.Addr(i*4%(4*leaves)), int64(i))
+						c.LoadInt(base + mem.Addr(i%16))
+					}
+					return
+				}
+				mid := lo + (hi-lo)/3 + 1
+				c.Fork(
+					func(c *Ctx) { rec(c, lo, mid) },
+					func(c *Ctx) { rec(c, mid, hi) })
+			}
+			rec(c, 0, leaves)
+		}
+	}
+	hier := func(p, sockets int, seed int64) func() Config {
+		return func() Config {
+			c := DefaultConfig(p)
+			c.Seed = seed
+			c.Policy = Hierarchical{}
+			c.Machine.Topology = machine.Topology{
+				Sockets: sockets, CostMissRemote: 40,
+				CostSteal: 5, CostStealRemote: 25,
+			}
+			return c
+		}
+	}
+	uniform := func(p int, seed int64) func() Config {
+		return func() Config {
+			c := DefaultConfig(p)
+			c.Seed = seed
+			return c
+		}
+	}
+	return []golden{
+		{
+			name: "uniform-wide-p128", cfg: uniform(128, 128),
+			words: 16 + 1024, workload: wide(1024),
+			makespan: 1416,
+			totals: machine.ProcCounters{WorkTicks: 10236, CacheMisses: 1138, BlockMisses: 315,
+				MissStall: 14530, BlockWait: 69653, StealsOK: 366, StealsFail: 8004, StealTicks: 87360,
+				Usurpations: 197, NodesExecuted: 2046, AccessesTimed: 5484, InvalidationsSent: 1022},
+			steals: 366, failedSteals: 8004, spawns: 1023, inlinePops: 657, idlePops: 0, usurpations: 197,
+			transfersTot: 1453, transfersMax: 128, maxWriteCount: -1,
+		},
+		{
+			name: "hierarchical-8sock-p128-priced", cfg: hier(128, 8, 129),
+			words: 4 * 768, workload: lopsided(768),
+			makespan: 5000,
+			totals: machine.ProcCounters{WorkTicks: 30037, CacheMisses: 1015, BlockMisses: 148,
+				MissStall: 24380, BlockWait: 253750, StealsOK: 300, StealsFail: 16341, StealTicks: 169410,
+				Usurpations: 193, NodesExecuted: 908, AccessesTimed: 2744, InvalidationsSent: 675,
+				RemoteFetches: 425, RemoteSteals: 4037, StealLatency: 163945},
+			steals: 300, failedSteals: 16341, spawns: 454, inlinePops: 154, idlePops: 0, usurpations: 193,
+			transfersTot: 1163, transfersMax: 129, maxWriteCount: -1,
+		},
+		{
+			name: "uniform-wide-p256", cfg: uniform(256, 256),
+			words: 16 + 2048, workload: wide(2048),
+			makespan: 2688,
+			totals: machine.ProcCounters{WorkTicks: 20475, CacheMisses: 2221, BlockMisses: 579,
+				MissStall: 28000, BlockWait: 298509, StealsOK: 703, StealsFail: 32803, StealTicks: 342090,
+				Usurpations: 312, NodesExecuted: 4094, AccessesTimed: 10941, InvalidationsSent: 1980},
+			steals: 703, failedSteals: 32803, spawns: 2047, inlinePops: 1344, idlePops: 0, usurpations: 312,
+			transfersTot: 2800, transfersMax: 256, maxWriteCount: -1,
+		},
+		{
+			name: "hierarchical-16sock-p256-priced", cfg: hier(256, 16, 257),
+			words: 4 * 1536, workload: lopsided(1536),
+			makespan: 10010,
+			totals: machine.ProcCounters{WorkTicks: 60116, CacheMisses: 1940, BlockMisses: 268,
+				MissStall: 49350, BlockWait: 1102002, StealsOK: 558, StealsFail: 67117, StealTicks: 682330,
+				Usurpations: 363, NodesExecuted: 1814, AccessesTimed: 5444, InvalidationsSent: 1280,
+				RemoteFetches: 909, RemoteSteals: 16681, StealLatency: 671995},
+			steals: 558, failedSteals: 67117, spawns: 907, inlinePops: 349, idlePops: 0, usurpations: 363,
+			transfersTot: 2208, transfersMax: 258, maxWriteCount: -1,
+		},
+	}
+}
+
+// allGoldenCases is every pinned run: the pre-refactor Uniform cases, one
+// per steal policy, and the wide-machine cases.
+func allGoldenCases() []golden {
+	return append(append(goldenCases(), policyGoldenCases()...), largePGoldenCases()...)
+}
+
 // TestGoldenDeterminism replays the pinned runs — the pre-refactor Uniform
-// cases plus one per steal policy — and compares every externally
-// observable metric against the recorded reference values.
+// cases, one per steal policy, and the wide-machine cases — and compares
+// every externally observable metric against the recorded reference values.
 func TestGoldenDeterminism(t *testing.T) {
-	for _, g := range append(goldenCases(), policyGoldenCases()...) {
+	for _, g := range allGoldenCases() {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			e := MustNewEngine(g.cfg())
@@ -385,7 +497,7 @@ func TestGoldenDeterminism(t *testing.T) {
 // pages, RNG position, counters, allocator high-water) shows up against the
 // same reference values the fresh-engine golden test pins.
 func TestGoldenDeterminismReused(t *testing.T) {
-	cases := append(goldenCases(), policyGoldenCases()...)
+	cases := allGoldenCases()
 	var reused *Engine
 	defer func() {
 		if reused != nil {

@@ -63,7 +63,7 @@ func randomInvariantConfig(rng *rand.Rand) invariantConfig {
 //     (Spawns == Steals + InlinePops + IdlePops, and Spawns == leaves-1),
 //     and every leaf body runs exactly once;
 //   - per-processor clock monotonicity, observed from inside the
-//     computation (each leaf reads its processor's clock under the baton);
+//     computation (each leaf reads its processor's clock while it runs);
 //   - steal count within the configured StealBudget;
 //   - migration bookkeeping: only multi-take policies migrate, and the
 //     final Result's totals match the per-processor counters;
@@ -88,8 +88,9 @@ func runInvariantCase(t *testing.T, ic invariantConfig, pol StealPolicy, disable
 	rec = func(lo, hi int, c *Ctx) {
 		if hi-lo <= 1 {
 			// Leaf: data-dependent work plus a false-sharing-prone write.
-			// The baton discipline makes e.clock safe to read here, and
-			// orders the host-side ran[] increments.
+			// Only the running strand touches the engine, so e.clock is
+			// safe to read here and the host-side ran[] increments are
+			// ordered.
 			p := c.Proc()
 			if now := e.clock[p]; now < lastClock[p] {
 				monotone = false
@@ -221,6 +222,48 @@ func TestPolicyInvariants(t *testing.T) {
 			}
 			if t.Failed() {
 				t.Fatalf("iter %d: config %+v", iter, ic.cfg)
+			}
+		}
+	}
+}
+
+// TestPolicyInvariantsLargeP runs the property suite on wide machines, P =
+// 128 and 256, where the draws of randomInvariantConfig never go: hundreds
+// of live strands, a deep clock heap and multi-word sharer bitsets. Each
+// config keeps its random machine costs, runs a fork tree several leaves
+// per processor wide with no steal budget (so every processor gets work),
+// and is checked on the flat machine and on a priced eight-socket one.
+func TestPolicyInvariantsLargeP(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	for _, p := range []int{128, 256} {
+		for _, sockets := range []int{1, 8} {
+			ic := randomInvariantConfig(rng)
+			ic.cfg.Machine.P = p
+			ic.cfg.StealBudget = -1
+			ic.cfg.Machine.Topology = machine.Topology{}
+			if sockets > 1 {
+				ic.cfg.Machine.Topology = machine.Topology{
+					Sockets:         sockets,
+					CostMissRemote:  ic.cfg.Machine.CostMiss * 4,
+					CostSteal:       machine.Tick(1 + rng.Intn(4)),
+					CostStealRemote: machine.Tick(8 + rng.Intn(16)),
+				}
+			}
+			ic.leaves = 3*p + rng.Intn(p)
+			for _, pol := range Policies() {
+				fast := runInvariantCase(t, ic, pol, false)
+				slow := runInvariantCase(t, ic, pol, true)
+				if !reflect.DeepEqual(fast, slow) {
+					t.Errorf("P=%d %s: fast path diverged from lockstep:\nfast: %+v\nslow: %+v",
+						p, pol.Name(), fast, slow)
+				}
+				if fast.Steals < int64(p) {
+					t.Errorf("P=%d %s: only %d steals; the wide machine was never loaded",
+						p, pol.Name(), fast.Steals)
+				}
+				if t.Failed() {
+					t.Fatalf("P=%d: config %+v", p, ic.cfg)
+				}
 			}
 		}
 	}

@@ -28,23 +28,24 @@
 //
 // # Run-ahead execution
 //
-// Strands run as goroutines, but there is no scheduler goroutine mediating
-// them: exactly one goroutine at a time holds the engine "baton" and is
-// allowed to touch engine state. The baton holder applies its own timed
-// requests (work, memory accesses, join-flag writes) directly — the engine
-// always runs the processor holding the minimum (clock, proc) key, so while
-// the holder's processor keeps that minimum it simply keeps executing
-// (run-ahead). When its clock rises past another processor's, or it parks on
-// a join, or it finishes, the holder itself runs the engine loop: idle
-// processors' actions (deque pops, steal attempts) execute inline with no
-// goroutine switch, and when another strand must run the baton is handed
-// directly to it through its resume channel — one goroutine switch per
-// strand interleaving, and zero for everything else. The engine goroutine
-// that called Run only starts the root strand, reclaims the baton at the
-// end (or on a panic), and drains.
+// Every strand runs as a pooled coroutine (iter.Pull), and the goroutine
+// that called Run is the driver that resumes them. Exactly one of them runs
+// at a time, so engine state is never locked. The running strand applies its
+// own timed requests (work, memory accesses, join-flag writes) directly —
+// the engine always runs the processor holding the minimum (clock, proc)
+// key, so while the strand's processor keeps that minimum it simply keeps
+// executing (run-ahead) and switches nothing. When its clock rises past
+// another processor's, or it parks on a join, or it finishes, the strand
+// itself runs the engine loop: idle processors' actions (deque pops, steal
+// attempts) execute inline, and control returns to the strand directly if
+// its own processor is next. When another strand must run, the strand
+// yields that strand to the driver, which resumes it — two coroutine
+// switches per strand interleaving, and none for everything else. The root
+// finish and every finish after it yield nil, which returns the driver to
+// Run; an algorithm panic propagates out of the driver's resume.
 //
 // The sequence of simulated actions, and therefore every metric and the RNG
-// consumption order, is identical to a lockstep one-request-per-handoff
+// consumption order, is identical to a lockstep one-request-per-switch
 // protocol: Config.DisableFastPath turns off only the run-ahead shortcut
 // (re-entering the scheduler after every request), and the differential
 // tests assert the two modes produce bit-for-bit equal Results.
@@ -69,13 +70,14 @@
 //     processor finally runs it.
 //   - A joinCell has two releases: the forking strand (after it passed the
 //     join, parked-and-resumed or not) and the completing child strand (in
-//     the engine's reqFinish handling). Whichever release comes second
-//     recycles the cell; a fork whose spawn was popped inline releases both
-//     at once since no child strand ever existed.
-//   - A strand — struct, channels, and goroutine — is recycled when its
-//     reqFinish is handled. The parked goroutine blocks on its job channel
-//     and picks up the next (task, fn, jc) instead of a fresh `go func` per
-//     steal. All strand goroutines exit when Run completes.
+//     finishStrand). Whichever release comes second recycles the cell; a
+//     fork whose spawn was popped inline releases both at once since no
+//     child strand ever existed.
+//   - A strand — struct and coroutine — is recycled by its own finishStrand.
+//     The coroutine stays suspended there until the engine hands it its
+//     next (task, fn, jc) job and resumes it, instead of starting a fresh
+//     coroutine per steal. A single-use engine stops every coroutine when
+//     Run completes; a Reset engine keeps them for the next run.
 //   - A stolen Task (and, via exec.Pool, its stack region) is recycled when
 //     its last strand finishes, after its kernel-size and stack-audit
 //     metrics were recorded.
@@ -90,17 +92,15 @@
 // reinitializes every piece of per-run state (machine, clocks, deque
 // cursors, counters, RNG, free lists' contents) while keeping the backing
 // structures — slabs, ring buffers, memory pages, cache/directory pages
-// (generation-stamped, revalidated lazily), and the parked strand
-// goroutines — so back-to-back runs allocate almost nothing and launch no
-// goroutines in steady state. Reused runs are bit-for-bit identical to
+// (generation-stamped, revalidated lazily), and the suspended strand
+// coroutines — so back-to-back runs allocate almost nothing and start no
+// coroutines in steady state. Reused runs are bit-for-bit identical to
 // fresh-engine runs under arbitrary config changes between runs; the golden
 // replay, the randomized reuse differential and FuzzEngineReuse enforce
 // that. A Reset engine is persistent and must be released with Close.
 package rws
 
 import (
-	"sync"
-
 	"rwsfs/internal/exec"
 	"rwsfs/internal/mem"
 )
@@ -153,8 +153,8 @@ type spawn struct {
 	migrant bool
 }
 
-// strandJob is one unit of kernel execution handed to a pooled strand
-// goroutine: the fields of a consumed spawn plus the task to run under.
+// strandJob is one unit of kernel execution handed to a pooled strand: the
+// fields of a consumed spawn plus the task to run under.
 type strandJob struct {
 	task   *Task
 	fn     func(*Ctx)
@@ -164,92 +164,36 @@ type strandJob struct {
 	jc     *joinCell
 }
 
-// strand is one schedulable thread of control: a pooled goroutine executing
+// strand is one schedulable thread of control: a pooled coroutine executing
 // part of a task's kernel, one strandJob at a time. A task has one strand
 // when created; additional strands appear when the owner's processor pops a
 // pending spawn of a parked task.
-//
-// The baton discipline admits at most one wake in flight, and a pooled
-// strand is handed its next job only after consuming the previous one, so
-// single-slot handoffs suffice for both channels and flags.
 type strand struct {
 	id   int64
 	task *Task
+	// job is the next job to run, set by newStrand before the strand is
+	// first resumed (or continues from its last finish).
+	job strandJob
 
-	// resume passes the baton: the wake names the processor this strand
-	// resumes on. Buffered, so a finishing strand can queue a wake for
-	// itself (its own next job) before returning to its job loop. A channel
-	// rather than the cond: the Go runtime's direct send-to-waiter handoff
-	// is the cheapest goroutine switch available, and baton passes are the
-	// hot path.
-	resume chan wake
-
-	mu     sync.Mutex
-	cond   sync.Cond // L = &mu; signaled on job handoff and shutdown
-	job    strandJob
-	hasJob bool
-	closed bool
+	// next resumes the coroutine until it yields the strand the driver must
+	// resume after it (nil: return to Run); stop unwinds it for good.
+	next func() (*strand, bool)
+	stop func()
+	// yield suspends the coroutine, naming the strand to resume next.
+	yield func(*strand) bool
 
 	// ctx is the per-job Ctx, embedded so starting a job allocates nothing.
 	ctx  Ctx
 	proc int // processor currently (or last) executing this strand
 }
 
-// wake passes the baton to a strand and tells it which processor it is now
-// executing on (it changes across park/resume).
-type wake struct {
-	proc int
-}
+// strandStopped is the panic value that unwinds a strand whose yield
+// returned false (stop was called); strandBody recovers it.
+type strandStopped struct{}
 
-// sendWake passes the baton: the strand resumes on processor p.
-func (st *strand) sendWake(p int) {
-	st.resume <- wake{proc: p}
-}
-
-// recvWake blocks until the baton arrives and returns the processor.
-func (st *strand) recvWake() int {
-	w := <-st.resume
-	return w.proc
-}
-
-// sendJob hands the pooled goroutine its next job.
-func (st *strand) sendJob(job strandJob) {
-	st.mu.Lock()
-	st.job = job
-	st.hasJob = true
-	st.mu.Unlock()
-	st.cond.Signal()
-}
-
-// waitJob blocks until a job arrives (job, true) or the engine shut the
-// strand down (_, false).
-func (st *strand) waitJob() (strandJob, bool) {
-	st.mu.Lock()
-	for !st.hasJob && !st.closed {
-		st.cond.Wait()
+// pass suspends st and has the driver resume next (nil: return to Run).
+func (st *strand) pass(next *strand) {
+	if !st.yield(next) {
+		panic(strandStopped{})
 	}
-	if !st.hasJob {
-		st.mu.Unlock()
-		return strandJob{}, false
-	}
-	job := st.job
-	st.hasJob = false
-	st.job = strandJob{}
-	st.mu.Unlock()
-	return job, true
-}
-
-// shut ends the goroutine's job loop at its next waitJob.
-func (st *strand) shut() {
-	st.mu.Lock()
-	st.closed = true
-	st.mu.Unlock()
-	st.cond.Signal()
-}
-
-// batonNote travels baton-holder -> engine goroutine when the run completes
-// or algorithm code panics; nil means clean completion.
-type batonNote struct {
-	proc int
-	pv   any // recovered panic value
 }

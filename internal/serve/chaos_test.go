@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,37 @@ func TestPanicRetryAndQuarantine(t *testing.T) {
 	clean := newTestServer(t, Config{Workers: 1})
 	if cw := mustOK(t, clean, baseReq); !bytes.Equal(cw.Runs, w.Runs) {
 		t.Fatalf("post-quarantine result differs from clean run:\n%s\nvs\n%s", w.Runs, cw.Runs)
+	}
+}
+
+// TestQuarantinesLeaveGoroutinesFlat is the -inject-panic-every 1 drill:
+// every request's first attempt panics mid-run with strands live, so every
+// request quarantines one engine. Closing those engines must release their
+// strands — the goroutine count after N quarantines is what it was before.
+func TestQuarantinesLeaveGoroutinesFlat(t *testing.T) {
+	const n = 12
+	s := newTestServer(t, Config{
+		Workers:      1,
+		MaxAttempts:  2,
+		RetryBackoff: time.Millisecond,
+		Injector: func(_, attempt int, _ string) Fault {
+			return Fault{Panic: attempt == 0}
+		},
+	})
+	req := func(seed int) string {
+		return fmt.Sprintf(`{"alg":"prefix","n":128,"p":8,"seed":%d}`, seed)
+	}
+	mustOK(t, s, req(0)) // warm: the worker's engine pool and its strands
+	before := runtime.NumGoroutine()
+	for i := 1; i <= n; i++ {
+		mustOK(t, s, req(i))
+	}
+	after := runtime.NumGoroutine()
+	if st := s.Stats(); st.Quarantined != n+1 {
+		t.Fatalf("want %d quarantines, got %+v", n+1, st)
+	}
+	if after > before {
+		t.Fatalf("goroutines: %d before, %d after %d quarantines", before, after, n)
 	}
 }
 

@@ -9,8 +9,8 @@ type Fault struct {
 	// attempt's first engine checkout (interruptible by the request
 	// deadline). Hedged re-dispatch exists for exactly this shape.
 	Delay time.Duration
-	// Panic poisons the attempt: the worker panics after checking an engine
-	// out of its pool, exercising the recovery path — the engine is
+	// Panic poisons the attempt: the first run's kernel panics mid-run,
+	// with other strands live, exercising the recovery path — the engine is
 	// quarantined (never recycled) and the next checkout replaces it from
 	// the pool. Retry-with-backoff exists for exactly this shape.
 	Panic bool

@@ -228,9 +228,9 @@ func (w *worker) attempt(j *job, attempt int) (*payload, error) {
 }
 
 // runOne performs a single simulated run on a pooled engine, recovering
-// panics. A panicking run quarantines its engine: the engine is closed
-// (best effort — its strand goroutines may be wedged) and never recycled,
-// so the pool replaces it with a fresh build on the next checkout.
+// panics. A panicking run quarantines its engine: the engine is closed and
+// never recycled, so the pool replaces it with a fresh build on the next
+// checkout.
 func (w *worker) runOne(mk harness.Maker, cfg rws.Config, injectPanic bool) (sum RunSummary, err error) {
 	var e *rws.Engine
 	defer func() {
@@ -245,7 +245,7 @@ func (w *worker) runOne(mk harness.Maker, cfg rws.Config, injectPanic bool) (sum
 	e, root := mk(&w.pool, cfg)
 	w.s.stats.add(&w.s.stats.Simulations, 1)
 	if injectPanic {
-		panic("serve: injected engine panic")
+		root = panicMidRun(root)
 	}
 	res := e.RunLean(root)
 	sum = summarize(cfg.Seed, res)
@@ -253,10 +253,21 @@ func (w *worker) runOne(mk harness.Maker, cfg rws.Config, injectPanic bool) (sum
 	return sum, nil
 }
 
-// quarantine retires a poisoned engine instead of recycling it. Close is
-// best effort under its own recover: a panicked run can leave strand
-// goroutines parked mid-protocol, and a quarantine must never take the
-// worker down with it.
+// panicMidRun makes an injected panic look like a faulty kernel's: the real
+// computation is forked off for thieves to pick up, and the forking side
+// panics some simulated time later, while other strands are live mid-job.
+func panicMidRun(root func(*rws.Ctx)) func(*rws.Ctx) {
+	return func(c *rws.Ctx) {
+		c.Fork(func(c *rws.Ctx) {
+			c.Work(1000)
+			panic("serve: injected engine panic")
+		}, root)
+	}
+}
+
+// quarantine retires a poisoned engine instead of recycling it. The engine
+// already stopped its strands when the run panicked, so Close only retires
+// it; the recover keeps a quarantine from ever taking the worker down.
 func (s *Server) quarantine(e *rws.Engine) {
 	s.stats.add(&s.stats.Quarantined, 1)
 	defer func() { recover() }()
