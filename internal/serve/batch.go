@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -163,17 +163,15 @@ func (s *Server) evictBatchesLocked() []string {
 	}
 	excess := len(s.batchOrder) - limit
 	var evicted []string
-	kept := s.batchOrder[:0]
-	for _, id := range s.batchOrder {
+	s.batchOrder = slices.DeleteFunc(s.batchOrder, func(id string) bool {
 		if e := s.batches[id]; excess > 0 && e != nil && e.job.Done() {
 			delete(s.batches, id)
 			evicted = append(evicted, id)
 			excess--
-			continue
+			return true
 		}
-		kept = append(kept, id)
-	}
-	s.batchOrder = kept
+		return false
+	})
 	return evicted
 }
 
@@ -210,7 +208,8 @@ func (s *Server) resumeJournaledJobs() {
 			s.cfg.Logf("serve: journal job %s: spec no longer expands (%v); leaving journal untouched", rj.ID, err)
 			continue
 		}
-		job := jobs.NewJob(rj.ID, spec, rowKeys(rows))
+		keys := rowKeys(rows)
+		job := jobs.NewJob(rj.ID, spec, keys)
 		applied := job.ApplyReplayed(rj.Rows)
 		e := &batchEntry{job: job, rows: rows}
 		for i := range rows {
@@ -219,9 +218,19 @@ func (s *Server) resumeJournaledJobs() {
 			}
 		}
 		if s.cfg.WarmCache {
-			if warmed := s.warmFromJournal(job, rows, rj.Rows); warmed > 0 {
-				s.cfg.Logf("serve: journal job %s: warmed result cache with %d rows", rj.ID, warmed)
+			// Inserts stop once the cache is at capacity: warming must never
+			// churn evictions through a corpus larger than the cache.
+			warmed, skipped := 0, 0
+			for _, p := range s.journalPayloads(rj.ID, rows, keys, rj.Rows) {
+				if s.cache.AddIfSpace(p.Key, p) {
+					warmed++
+				} else {
+					skipped++
+				}
 			}
+			s.stats.add(&s.stats.CacheWarmed, int64(warmed))
+			s.stats.add(&s.stats.WarmSkipped, int64(skipped))
+			s.cfg.Logf("serve: journal job %s: warmed result cache with %d rows (%d skipped, cache full)", rj.ID, warmed, skipped)
 		}
 		rtr := s.tracer.start(kindBatchResume)
 		rtr.setKey(rj.ID)
@@ -272,42 +281,6 @@ func (s *Server) resumeJournaledJobs() {
 	}
 }
 
-// warmFromJournal loads a replayed job's RowOK records into the result
-// cache. A record qualifies only if it matches the re-expanded grid (index
-// in range, key equal — the same trust rule ApplyReplayed applies) and its
-// result bytes round-trip through the wire type unchanged, so a cache hit
-// later serves byte-identical payload bytes to what the journal holds; a
-// record that fails the round-trip is skipped, never served approximately.
-// Inserts stop once the cache is at capacity (AddIfSpace): warming must
-// never churn evictions through a corpus larger than the cache; skipped
-// rows land in the warm_skipped_rows counter.
-func (s *Server) warmFromJournal(job *jobs.Job, rows []Request, recs []jobs.RowRecord) int {
-	warmed, skipped := 0, 0
-	for _, rec := range recs {
-		if rec.Status != jobs.RowOK || rec.Index < 0 || rec.Index >= len(rows) || rec.Key != job.Key(rec.Index) {
-			continue
-		}
-		runs, ok := canonicalRuns(rec.Result)
-		if !ok {
-			s.cfg.Logf("serve: warm-cache: job %s row %d: result bytes not canonical; skipped", job.ID, rec.Index)
-			continue
-		}
-		p := &payload{Key: rec.Key, Alg: rows[rec.Index].Alg, Runs: runs,
-			warmSrc: sourceJournal, req: wireRequest(rows[rec.Index])}
-		if s.cache.AddIfSpace(rec.Key, p) {
-			warmed++
-		} else {
-			skipped++
-		}
-	}
-	s.stats.add(&s.stats.CacheWarmed, int64(warmed))
-	s.stats.add(&s.stats.WarmSkipped, int64(skipped))
-	if skipped > 0 {
-		s.cfg.Logf("serve: warm-cache: job %s: cache full; %d rows skipped", job.ID, skipped)
-	}
-	return warmed
-}
-
 // gcJournals applies the age bound to the journal directory: completed jobs
 // whose journal has not been appended to for longer than JournalMaxAge are
 // evicted from the index and their files removed, and orphaned journal
@@ -338,13 +311,7 @@ func (s *Server) gcJournals() {
 		}
 		if indexed {
 			delete(s.batches, ent.ID)
-			kept := s.batchOrder[:0]
-			for _, id := range s.batchOrder {
-				if id != ent.ID {
-					kept = append(kept, id)
-				}
-			}
-			s.batchOrder = kept
+			s.batchOrder = slices.DeleteFunc(s.batchOrder, func(id string) bool { return id == ent.ID })
 		}
 		s.batchMu.Unlock()
 		if err := s.journal.Remove(ent.ID); err != nil {
@@ -441,44 +408,27 @@ func jobStatus(j *jobs.Job) string {
 func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, e *batchEntry) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
+	flush := http.NewResponseController(w).Flush // ErrNotSupported only skips the flush
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(batchHeader{Type: "job", Job: e.job.ID, Rows: e.job.Rows()})
 	flush()
 
 	rowsCh, cancel := e.job.Subscribe()
 	defer cancel()
-	delivered := 0
-	total := e.job.Rows()
-	for delivered < total {
+rows:
+	for delivered := 0; delivered < e.job.Rows(); delivered++ {
 		select {
 		case rec := <-rowsCh:
 			_ = enc.Encode(rec)
 			flush()
-			delivered++
 		case <-e.job.QuiescedCh():
 			// Done or interrupted: everything that will ever arrive is
 			// already buffered (the runner quiesces only after its last
 			// Finish). Drain it, then write the trailer.
-			for {
-				select {
-				case rec := <-rowsCh:
-					_ = enc.Encode(rec)
-					delivered++
-					continue
-				default:
-				}
-				break
+			for n := len(rowsCh); n > 0; n-- {
+				_ = enc.Encode(<-rowsCh)
 			}
-			_ = enc.Encode(batchTrailer{Type: "end", Job: e.job.ID,
-				Status: jobStatus(e.job), Counts: e.job.Counts()})
-			flush()
-			return
+			break rows
 		case <-r.Context().Done():
 			return // client gone; the job and its journal carry on
 		}
@@ -495,7 +445,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, e *batchEnt
 // journal record — exactly the set a restart recomputes. Zero rows are
 // lost either way.
 func (s *Server) runBatch(e *batchEntry) {
-	defer s.exitRunner()
+	defer s.handlerWG.Done() // registered directly, without the in-flight HTTP gauge
 	job := e.job
 	sem := make(chan struct{}, s.cfg.BatchParallel)
 	var wg sync.WaitGroup
@@ -534,49 +484,27 @@ func (s *Server) runBatch(e *batchEntry) {
 	}
 }
 
-// exitRunner mirrors exitHandler for batch runner goroutines (registered
-// directly on handlerWG, without the in-flight HTTP gauge).
-func (s *Server) exitRunner() { s.handlerWG.Done() }
-
 // stopDispatch reports whether the runner should stop handing out rows:
 // the server is draining (graceful) or hard-cancelled (crash-like).
 func (s *Server) stopDispatch() bool {
 	return s.Draining() || s.baseCtx.Err() != nil
 }
 
-// runRow brings one row to a terminal state: compute, journal (fsync),
-// then publish. If the server was draining or hard-cancelled while the row
-// was in flight, a cancellation outcome checkpoints the row back to
-// unstarted instead — it holds no journal record and is recomputed on
-// restart, never recorded as a spurious failure.
+// runRow brings one row to a terminal state: resolve, journal (fsync),
+// then publish. A transient rejection only escapes resolve once the server
+// is draining or hard-cancelled; it checkpoints the row back to unstarted
+// instead — no journal record, so a resumed job recomputes the row rather
+// than serving a serving artifact as its result.
 func (s *Server) runRow(e *batchEntry, i int) {
 	req := &e.rows[i]
 	key := e.job.Key(i)
 	tr := s.tracer.start(kindBatchRow)
 	tr.setKey(key)
-	var meta rowMeta
-	ctx := s.baseCtx
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
-	if deadline <= 0 {
-		deadline = s.cfg.DefaultDeadline
-	}
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
+	ctx, cancel := s.requestCtx(req.DeadlineMS)
+	defer cancel()
 
-	p, reject := s.computeRow(ctx, req, key, tr, &meta)
-	if reject != nil && (reject.Code == codeDeadline || reject.Code == codeDraining) && s.stopDispatch() {
-		e.job.Revert(i)
-		s.tracer.push(tr.finish("reverted"))
-		return
-	}
-	if reject != nil && (reject.Code == codeRateLimited || reject.Code == codeQueueFull) {
-		// Admission rejections are transient serving artifacts, never a row's
-		// result. computeRow only surfaces them when the server is stopping,
-		// so checkpoint the row back to unstarted — no journal record, and a
-		// resumed job recomputes it instead of serving a spurious failure.
+	p, src, attempts, reject := s.resolve(ctx, key, req, tr, block)
+	if reject != nil && transient(reject.Code) && s.stopDispatch() {
 		e.job.Revert(i)
 		s.tracer.push(tr.finish("reverted"))
 		return
@@ -585,12 +513,7 @@ func (s *Server) runRow(e *batchEntry, i int) {
 	rec := jobs.RowRecord{Type: "row", Index: i, Key: key}
 	switch {
 	case reject == nil:
-		runs, err := json.Marshal(p.Runs)
-		if err != nil {
-			rec.Status, rec.Error = jobs.RowFailed, fmt.Sprintf("marshal result: %v", err)
-		} else {
-			rec.Status, rec.Result = jobs.RowOK, runs
-		}
+		rec.Status, rec.Result = jobs.RowOK, p.Runs
 	case reject.Code == codeQuarantined:
 		rec.Status, rec.Error = jobs.RowQuarantined, reject.Message
 		s.stats.add(&s.stats.RowsQuarantined, 1)
@@ -607,100 +530,13 @@ func (s *Server) runRow(e *batchEntry, i int) {
 		}
 	}
 	s.stats.add(&s.stats.BatchRows, 1)
-	e.setMeta(i, meta)
+	e.setMeta(i, rowMeta{Attempts: attempts, Source: src})
 	s.tracer.push(tr.finish(string(rec.Status)))
 	e.job.Finish(rec)
 }
 
-// computeRow is the batch-side analogue of compute: same canonical key,
-// same single-flight group and result cache, but rows block on the work
-// queue instead of shedding (the batch was admitted as a whole) and spend
-// no admission tokens. A follower that inherits a /simulate leader's
-// rejection — admission (rate_limited, queue_full) or the leader's own
-// client-chosen deadline — retries the flight, becoming leader under the
-// row's own context: those outcomes describe the leader's request, never
-// this row. The loop exits on the row's own deadline or on server stop;
-// only in the latter case can a transient rejection escape, and runRow
-// checkpoints the row rather than journaling it.
-func (s *Server) computeRow(ctx context.Context, req *Request, key string, tr *trace, meta *rowMeta) (*payload, *apiError) {
-	if meta == nil {
-		meta = &rowMeta{}
-	}
-	var lastReject *apiError
-	backoff := time.Millisecond
-	for {
-		c, leader := s.flight.join(key)
-		if leader {
-			p, reject := s.computeRowLeader(ctx, req, key, tr, meta)
-			s.flight.finish(key, c, p, reject)
-			return p, reject
-		}
-		s.stats.add(&s.stats.Dedups, 1)
-		tr.event(evDedupFollower, "awaiting in-flight leader")
-		select {
-		case <-c.done:
-			if c.reject == nil {
-				meta.Source = sourceDedup
-				return c.p, nil
-			}
-			switch c.reject.Code {
-			case codeRateLimited, codeQueueFull, codeDeadline, codeDraining:
-				lastReject = c.reject
-			default:
-				return nil, c.reject
-			}
-		case <-ctx.Done():
-			return nil, s.errCtxExpired(ctx)
-		}
-		if s.stopDispatch() {
-			return nil, lastReject
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return nil, s.errCtxExpired(ctx)
-		}
-		if backoff < 64*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-func (s *Server) computeRowLeader(ctx context.Context, req *Request, key string, tr *trace, meta *rowMeta) (*payload, *apiError) {
-	if p, ok := s.cache.Get(key); ok {
-		s.stats.add(&s.stats.CacheHits, 1)
-		tr.event(evCacheHit, cacheHitDetail(p))
-		if p.warmSrc != "" {
-			meta.Source = p.warmSrc
-		} else {
-			meta.Source = sourceCache
-		}
-		return p, nil
-	}
-	res := make(chan jobResult, 1)
-	jb := &job{ctx: ctx, req: req, key: key, res: res, tr: tr}
-	select {
-	case s.queue <- jb:
-		tr.event(evQueued, "")
-	case <-ctx.Done():
-		return nil, s.errCtxExpired(ctx)
-	}
-	select {
-	case r := <-res:
-		meta.Attempts += r.attempts
-		if r.reject != nil {
-			return nil, r.reject
-		}
-		meta.Source = sourceFresh
-		s.cache.Add(key, r.p)
-		return r.p, nil
-	case <-ctx.Done():
-		return nil, s.errCtxExpired(ctx)
-	}
-}
-
 // writeBatchReject writes a typed rejection for the batch surface. Unlike
-// writeReject it does not touch the /simulate outcome ledger (Received is
+// rejectTraced it does not touch the /simulate outcome ledger (Received is
 // only bumped there).
 func writeBatchReject(w http.ResponseWriter, e *apiError) {
 	writeJSON(w, e.Status, errorBody{Error: *e})
@@ -715,16 +551,13 @@ type batchStatus struct {
 	Grid   []batchRowStatus       `json:"grid"`
 }
 
+// batchRowStatus is one row of the GET /batch/{id} grid: its state plus its
+// serving provenance (rowMeta), which the journaled grid bytes never carry.
 type batchRowStatus struct {
 	Index  int            `json:"index"`
 	Key    string         `json:"key"`
 	Status jobs.RowStatus `json:"status"`
-	// Attempts and Source are serving provenance: how many worker attempts
-	// the row took and where its bytes came from ("fresh", "cache", "dedup",
-	// "journal", "peer"). Metadata only — the journaled grid bytes never
-	// carry them.
-	Attempts int    `json:"attempts"`
-	Source   string `json:"source,omitempty"`
+	rowMeta
 }
 
 func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
@@ -736,9 +569,7 @@ func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 	sts := e.job.Statuses()
 	grid := make([]batchRowStatus, len(sts))
 	for i, st := range sts {
-		m := e.metaOf(i)
-		grid[i] = batchRowStatus{Index: i, Key: e.job.Key(i), Status: st,
-			Attempts: m.Attempts, Source: m.Source}
+		grid[i] = batchRowStatus{Index: i, Key: e.job.Key(i), Status: st, rowMeta: e.metaOf(i)}
 	}
 	writeJSON(w, http.StatusOK, batchStatus{
 		Job: e.job.ID, Status: jobStatus(e.job), Rows: e.job.Rows(),
@@ -773,13 +604,11 @@ type batchListEntry struct {
 
 func (s *Server) handleBatchList(w http.ResponseWriter, r *http.Request) {
 	s.batchMu.Lock()
-	order := append([]string(nil), s.batchOrder...)
-	s.batchMu.Unlock()
-	out := make([]batchListEntry, 0, len(order))
-	for _, id := range order {
-		if e, ok := s.batch(id); ok {
-			out = append(out, batchListEntry{Job: id, Status: jobStatus(e.job), Rows: e.job.Rows()})
-		}
+	out := make([]batchListEntry, 0, len(s.batchOrder))
+	for _, id := range s.batchOrder {
+		e := s.batches[id]
+		out = append(out, batchListEntry{Job: id, Status: jobStatus(e.job), Rows: e.job.Rows()})
 	}
+	s.batchMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string][]batchListEntry{"jobs": out})
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -574,7 +575,7 @@ func TestBatchRowRetriesInheritedDeadline(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		p, reject := s.computeRow(ctx, &req, key, nil, nil)
+		p, _, _, reject := s.resolve(ctx, key, &req, nil, block)
 		done <- outcome{p, reject}
 	}()
 	// The row must join as a follower (the key is held until finish), so
@@ -593,8 +594,39 @@ func TestBatchRowRetriesInheritedDeadline(t *testing.T) {
 	}
 }
 
+// TestBatchRowHedgeRescuesDelayedPrimary pins that batch rows hedge like
+// /simulate: every primary attempt straggles far past HedgeAfter, the hedge
+// re-dispatch answers instead, and the finished grid is byte-identical to a
+// fault-free run's.
+func TestBatchRowHedgeRescuesDelayedPrimary(t *testing.T) {
+	const attempts = 3
+	const spec = `{"algs":["prefix"],"ns":[64],"ps":[2,4],"seeds":[1,2],"row_deadline_ms":20000}`
+	clean := newTestServer(t, Config{Workers: 2})
+	want := gridBody(t, clean, parseStream(t, postBatch(clean, spec).Body.Bytes()).header.Job)
+
+	s := newTestServer(t, Config{
+		Workers: 2, BatchParallel: 1, MaxAttempts: attempts, HedgeAfter: 10 * time.Millisecond,
+		Injector: func(_, attempt int, _ string) Fault {
+			if attempt < attempts {
+				return Fault{Delay: 5 * time.Second} // primaries only
+			}
+			return Fault{}
+		},
+	})
+	sp := parseStream(t, postBatch(s, spec).Body.Bytes())
+	if sp.trailer.Status != "done" || sp.trailer.Counts[jobs.RowOK] != 4 {
+		t.Fatalf("hedged batch did not finish ok: %+v", sp.trailer)
+	}
+	if got := gridBody(t, s, sp.header.Job); !bytes.Equal(got, want) {
+		t.Fatalf("hedged grid differs from the fault-free grid:\n%s\nvs\n%s", got, want)
+	}
+	if st := s.Stats(); st.Hedges == 0 || st.HedgeWins == 0 {
+		t.Fatalf("batch rows did not hedge: %+v", st)
+	}
+}
+
 // TestBatchTransientRejectCheckpointsRow pins that a transient admission
-// rejection escaping computeRow (only possible when the server is stopping)
+// rejection escaping resolve (only possible when the server is stopping)
 // checkpoints the row back to unstarted — no journal record, no terminal
 // RowFailed — so a resumed job recomputes it instead of serving a serving
 // artifact as a permanent result.
@@ -751,6 +783,20 @@ func TestStatzSchemaStable(t *testing.T) {
 	}
 	if counters["ok"] != 1 || counters["received"] != 1 {
 		t.Fatalf("counters not live: %v", counters)
+	}
+}
+
+// TestStatsSnapshotCopiesEveryCounter sets every counter to a distinct
+// value and checks that snapshot returns them all, so a counter added to
+// Stats needs no second list anywhere.
+func TestStatsSnapshotCopiesEveryCounter(t *testing.T) {
+	var st Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := range v.NumField() {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	if got := st.snapshot(); got != st {
+		t.Fatalf("snapshot dropped counters:\n got %+v\nwant %+v", got, st)
 	}
 }
 

@@ -51,31 +51,19 @@ func (c *resultCache) Get(key string) (*payload, bool) {
 // Add stores p under key, evicting the least recently used entry when full.
 // The stored payload is shared by reference and must never be mutated after
 // insertion (responses copy the per-request fields, not the payload).
-func (c *resultCache) Add(key string, p *payload) {
-	if c.cap == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		el.Value.(*cacheEntry).p = p
-		return
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, p: p})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-	}
-}
+func (c *resultCache) Add(key string, p *payload) { c.add(key, p, true) }
 
 // AddIfSpace stores p under key only when doing so evicts nothing: either
 // the key is already present (refreshed in place) or the cache has free
 // capacity. Warm-up paths (journal replay, peer corpus import) use it so a
 // corpus larger than the cache stops inserting at capacity instead of
 // churning the entire corpus through the LRU and evicting earlier rows.
-func (c *resultCache) AddIfSpace(key string, p *payload) bool {
+func (c *resultCache) AddIfSpace(key string, p *payload) bool { return c.add(key, p, false) }
+
+// add stores p under key, refreshing a key already present in place. A full
+// cache makes room by evicting its least recently used entry when evict is
+// set and refuses the insert (false) otherwise.
+func (c *resultCache) add(key string, p *payload, evict bool) bool {
 	if c.cap == 0 {
 		return false
 	}
@@ -87,7 +75,12 @@ func (c *resultCache) AddIfSpace(key string, p *payload) bool {
 		return true
 	}
 	if c.order.Len() >= c.cap {
-		return false
+		if !evict {
+			return false
+		}
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry).key)
 	}
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, p: p})
 	return true

@@ -81,63 +81,85 @@ func wireRequest(r Request) Request {
 	return r
 }
 
-// canonicalRuns decodes result bytes and confirms they re-marshal to the
-// exact same bytes — the round-trip gate both -warm-cache and the peer
-// import apply before stored bytes may ever be served as a cache hit.
-func canonicalRuns(result []byte) ([]RunSummary, bool) {
+// admit is the one verification gate a stored result passes before this
+// node serves or exports it: journal warm-up, peer import and corpus export
+// all call it. The row's request must normalize and validate against lim,
+// its key must equal the re-canonicalized request's key, and its result
+// bytes must be exactly what encodeRuns produces for them — so a cache hit
+// later serves the stored bytes unchanged, and nothing is ever served
+// approximately. canon is the request's canonical key when the caller
+// already derived it: a journal grid re-expanded by expandRows is
+// normalized, validated and keyed row by row, so those rows go straight to
+// the key comparison. "" makes the gate do all three itself.
+func admit(lim Limits, row corpusRow, canon, src string) (*payload, error) {
+	req := wireRequest(row.Request)
+	req.normalize()
+	if canon == "" {
+		if err := req.validate(lim); err != nil {
+			return nil, fmt.Errorf("invalid request: %w", err)
+		}
+		canon = req.Key()
+	}
+	if row.Key != canon {
+		return nil, fmt.Errorf("key %s does not match re-canonicalized request (%s)", row.Key, canon)
+	}
+	if !canonicalRuns(row.Result) {
+		return nil, errors.New("result bytes not canonical")
+	}
+	return &payload{Key: row.Key, Alg: req.Alg, Runs: row.Result, warmSrc: src, req: req}, nil
+}
+
+// canonicalRuns reports whether result bytes decode and re-encode to
+// exactly the same bytes — the round trip admit requires.
+func canonicalRuns(result []byte) bool {
 	var runs []RunSummary
-	if err := json.Unmarshal(result, &runs); err != nil {
-		return nil, false
+	return json.Unmarshal(result, &runs) == nil && bytes.Equal(encodeRuns(runs), result)
+}
+
+// journalPayloads passes a replayed job's RowOK records through admit
+// against the job's re-expanded grid (rows and their keys). Records that
+// fail the gate are logged and skipped.
+func (s *Server) journalPayloads(id string, rows []Request, keys []string, recs []jobs.RowRecord) []*payload {
+	var out []*payload
+	for _, rec := range recs {
+		if rec.Status != jobs.RowOK || rec.Index < 0 || rec.Index >= len(rows) {
+			continue
+		}
+		p, err := admit(s.cfg.Limits, corpusRow{Key: rec.Key, Request: rows[rec.Index], Result: rec.Result},
+			keys[rec.Index], sourceJournal)
+		if err != nil {
+			s.cfg.Logf("serve: journal job %s row %d: %v; skipped", id, rec.Index, err)
+			continue
+		}
+		out = append(out, p)
 	}
-	canon, err := json.Marshal(runs)
-	if err != nil || !bytes.Equal(canon, result) {
-		return nil, false
-	}
-	return runs, true
+	return out
 }
 
 // corpusRows gathers the node's exportable corpus: every journaled RowOK
-// record that passes the warm-cache verification gate, plus every live cache
-// entry, deduplicated by key and sorted so the export is deterministic. Rows
-// are re-verified at export time — a node never re-exports bytes it would
-// not itself serve.
+// record that passes admit, plus every live cache entry, deduplicated by key
+// and sorted so the export is deterministic. Journal rows are re-verified at
+// export time — a node never re-exports bytes it would not itself serve.
 func (s *Server) corpusRows() []corpusRow {
-	byKey := make(map[string]corpusRow)
+	byKey := make(map[string]*payload)
 	if s.journal != nil {
 		replayed, err := s.journal.Replay()
 		if err != nil {
 			s.cfg.Logf("serve: corpus export: journal replay failed (exporting cache only): %v", err)
-		} else {
-			for _, rj := range replayed {
-				spec := rj.Spec
-				rows, err := expandRows(&spec, s.cfg.Limits, s.cfg.MaxBatchRows)
-				if err != nil {
-					continue
-				}
-				keys := rowKeys(rows)
-				for _, rec := range rj.Rows {
-					if rec.Status != jobs.RowOK || rec.Index < 0 || rec.Index >= len(rows) || rec.Key != keys[rec.Index] {
-						continue
-					}
-					if _, ok := canonicalRuns(rec.Result); !ok {
-						continue
-					}
-					byKey[rec.Key] = corpusRow{Type: "row", Key: rec.Key,
-						Request: wireRequest(rows[rec.Index]), Result: rec.Result}
-				}
+		}
+		for _, rj := range replayed {
+			spec := rj.Spec
+			rows, err := expandRows(&spec, s.cfg.Limits, s.cfg.MaxBatchRows)
+			if err != nil {
+				continue
+			}
+			for _, p := range s.journalPayloads(rj.ID, rows, rowKeys(rows), rj.Rows) {
+				byKey[p.Key] = p
 			}
 		}
 	}
 	for _, p := range s.cache.Snapshot() {
-		if p.req.Alg == "" {
-			continue // pre-corpus payload without request context; not exportable
-		}
-		result, err := json.Marshal(p.Runs)
-		if err != nil {
-			continue
-		}
-		byKey[p.Key] = corpusRow{Type: "row", Key: p.Key,
-			Request: wireRequest(p.req), Result: result}
+		byKey[p.Key] = p
 	}
 	keys := make([]string, 0, len(byKey))
 	for k := range byKey {
@@ -146,7 +168,8 @@ func (s *Server) corpusRows() []corpusRow {
 	sort.Strings(keys)
 	out := make([]corpusRow, len(keys))
 	for i, k := range keys {
-		out[i] = byKey[k]
+		p := byKey[k]
+		out[i] = corpusRow{Type: "row", Key: k, Request: p.req, Result: p.Runs}
 	}
 	return out
 }
@@ -167,12 +190,7 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	rows := s.corpusRows()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
+	flush := http.NewResponseController(w).Flush // ErrNotSupported only skips the flush
 	writeLine := func(v any) bool {
 		b, err := json.Marshal(v)
 		if err != nil {
@@ -206,11 +224,9 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		// row damages only what goes on the wire, exactly like a flaky link.
 		sum.Write(b)
 		if fault.CorpusCorruptRow == i+1 {
-			garbled := append(bytes.Repeat([]byte{'X'}, len(b)-1), '\n')
-			if _, err := w.Write(garbled); err != nil {
-				return
-			}
-		} else if _, err := w.Write(b); err != nil {
+			b = append(bytes.Repeat([]byte{'X'}, len(b)-1), '\n')
+		}
+		if _, err := w.Write(b); err != nil {
 			return
 		}
 		s.stats.add(&s.stats.CorpusExported, 1)
@@ -297,7 +313,7 @@ func importCorpusStream(r io.Reader, lim Limits, insert func(*payload) bool) (co
 				return st, fmt.Errorf("%w: row %d undecodable: %v", errCorpusCorrupt, rows, uerr)
 			}
 			rows++
-			p, verr := verifyCorpusRow(rec, lim)
+			p, verr := admit(lim, rec, "", sourcePeer)
 			if verr != nil {
 				st.Rejected++
 				continue
@@ -329,28 +345,6 @@ func importCorpusStream(r io.Reader, lim Limits, insert func(*payload) bool) (co
 			return st, fmt.Errorf("%w: unknown record type %q", errCorpusCorrupt, probe.Type)
 		}
 	}
-}
-
-// verifyCorpusRow applies the warm-cache gate to one imported row: the
-// request must normalize, validate against this node's limits, and
-// re-canonicalize to exactly the advertised key, and the result bytes must
-// round-trip json-canonically. Only then does the row become a cacheable
-// payload, marked source=peer.
-func verifyCorpusRow(rec corpusRow, lim Limits) (*payload, error) {
-	req := rec.Request
-	req.normalize()
-	req.DeadlineMS, req.Trace = 0, false
-	if err := req.validate(lim); err != nil {
-		return nil, fmt.Errorf("invalid request: %w", err)
-	}
-	if got := req.Key(); got != rec.Key {
-		return nil, fmt.Errorf("key %s does not match re-canonicalized request (%s)", rec.Key, got)
-	}
-	runs, ok := canonicalRuns(rec.Result)
-	if !ok {
-		return nil, errors.New("result bytes not canonical")
-	}
-	return &payload{Key: rec.Key, Alg: req.Alg, Runs: runs, warmSrc: sourcePeer, req: req}, nil
 }
 
 // peerWarm is the warm-up goroutine: it walks the configured peers in order,

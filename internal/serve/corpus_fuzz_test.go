@@ -57,7 +57,7 @@ func FuzzCorpusImport(f *testing.F) {
 			if merr != nil {
 				t.Fatalf("sink received unmarshalable runs: %v", merr)
 			}
-			if _, ok := canonicalRuns(runs); !ok {
+			if !canonicalRuns(runs) {
 				t.Fatalf("sink received non-canonical runs: %s", runs)
 			}
 			accepted++

@@ -3,6 +3,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 
 	"rwsfs/internal/harness"
@@ -246,12 +247,23 @@ func summarize(seed int64, res rws.Result) RunSummary {
 	}
 }
 
+// encodeRuns is the one encoder of a result's runs. The worker calls it once
+// per computed result; every surface after that — the /simulate body, the
+// cache, the journal, the stream and grid lines, the /corpus row — carries
+// those bytes unchanged, and the admit gate accepts stored bytes only if
+// they are exactly what encodeRuns would produce.
+func encodeRuns(runs []RunSummary) json.RawMessage {
+	b, _ := json.Marshal(runs) // cannot fail: RunSummary is all int64 fields
+	return b
+}
+
 // payload is the shared (cacheable, dedup-shareable) part of a response.
+// Runs holds the canonical bytes of encodeRuns.
 type payload struct {
-	Key    string       `json:"key"`
-	Alg    string       `json:"alg"`
-	Cached bool         `json:"cached"`
-	Runs   []RunSummary `json:"runs"`
+	Key    string          `json:"key"`
+	Alg    string          `json:"alg"`
+	Cached bool            `json:"cached"`
+	Runs   json.RawMessage `json:"runs"`
 
 	// warmSrc marks a payload loaded from outside this process's own
 	// computations: sourceJournal (batch journal warm-up at startup,
@@ -265,17 +277,6 @@ type payload struct {
 	// re-verify the key against a re-canonicalized request. Unexported:
 	// never serialized into responses.
 	req Request
-}
-
-// cacheHitDetail annotates a cache_hit timeline event with the entry's
-// provenance: entries warmed from the batch journal at startup report
-// source=journal, entries imported from a fleet sibling report source=peer,
-// and entries cached by this process's own computations report nothing.
-func cacheHitDetail(p *payload) string {
-	if p.warmSrc != "" {
-		return "source=" + p.warmSrc
-	}
-	return ""
 }
 
 // Response is the full success body: the shared payload plus per-request

@@ -1,62 +1,57 @@
 // Package serve implements rwsimd's serving layer: a fault-tolerant HTTP/
 // JSON front end over the deterministic simulator. Requests are policy-keyed
 // simulation configurations (canonical Config hash + seed); the daemon
-// shards them across per-worker pools of reusable engines and wraps the
-// whole path in a robustness layer:
+// shards them across per-worker pools of reusable engines.
 //
-//   - token-bucket admission control with typed 429 rejections, and a
-//     bounded work queue that sheds load with typed 503s — a request storm
+// Every result — a POST /simulate request or one row of a batch sweep — is
+// obtained through one pipeline, resolve: single-flight join on the
+// canonical key, then (for the flight's leader) the LRU result cache, then
+// the bounded worker queue, with an optional hedged re-dispatch of a
+// straggler (HedgeAfter, for /simulate and batch rows alike). Engine
+// determinism (same Config+Seed ⇒ byte-equal Result) is what makes dedup,
+// caching and hedging trivially correct. The only per-surface input is the
+// admission mode:
+//
+//   - shed (/simulate): a cache miss spends a token-bucket token (typed 429
+//     when spent) and a full queue answers a typed 503, so a request storm
 //     degrades into fast rejections instead of melting the host;
-//   - per-request deadlines propagated via context.Context into the sweep
-//     loop, landing at run boundaries (individual runs always complete, so
-//     the runs that did execute stay bit-for-bit deterministic);
-//   - single-flight dedup plus an LRU result cache keyed on the canonical
-//     Config hash — engine determinism (same Config+Seed ⇒ byte-equal
-//     Result) makes both trivially correct, and the cache tests assert the
-//     byte equality end to end;
-//   - panic recovery that quarantines a poisoned engine and replaces it from
-//     the pool, retry-with-backoff around panicking attempts, and optional
-//     hedged re-dispatch for straggler workers;
-//   - graceful drain: Drain stops admission (typed 503s), in-flight requests
-//     finish, Close flushes the final stats.
+//   - block (batch rows): the batch was admitted as a whole, so rows wait
+//     for queue room, and a row that inherits a transient rejection from a
+//     flight leader rejoins the flight after the retry backoff.
 //
-// On top of /simulate sits the durable batch surface (package jobs):
-// POST /batch expands a sweep spec into row-level work items fanned over the
-// same worker fleet and streams completed rows back as NDJSON; GET /batch/{id}
-// reports per-row status and GET /batch/{id}/grid re-serves the terminal rows.
-// With a journal directory configured, the spec and every row completion are
-// fsync'd to an append-only log: a restarted server resumes unfinished jobs,
-// serves journaled rows without recomputing them, and — because row keys and
-// expansion order are canonical — produces a final grid byte-identical to an
-// uninterrupted run. That identity holds across arbitrary crash/restart
-// sequences: resume truncates a torn final record before appending, and a
-// journal whose replay stopped at a corrupt line is atomically rewritten
-// from its intact prefix before any append, so no record is ever stranded
-// behind corruption. A per-row-key circuit breaker quarantines configurations
-// that panic across QuarantineAfter distinct engines (typed row_quarantined),
-// so one poisoned cell cannot sink the rest of its job. Drain extends to
-// batches: dispatched rows finish and are journaled, undispatched rows are
-// checkpointed as unstarted, zero rows lost. Retention keeps a long-lived
-// daemon bounded: past MaxBatchJobs, the oldest completed jobs are evicted
-// from the index and their journal files deleted (unfinished jobs never are);
-// JournalMaxAge adds a time bound with startup + periodic GC, and finished
-// jobs' logs are compacted at resume to spec + one record per terminal row.
-// The journal doubles as a result corpus: WarmCache loads journaled rows
-// into the LRU result cache at startup, so the restarted daemon serves its
-// recorded corpus as cache hits with source=journal timeline provenance.
+// Around the pipeline sit per-request deadlines (propagated via
+// context.Context and landing at run boundaries, so every run that executes
+// stays bit-for-bit deterministic), panic recovery that quarantines a
+// poisoned engine and retries with backoff, and graceful drain: Drain stops
+// admission (typed 503s), in-flight requests finish, Close flushes stats.
 //
-// The corpus also travels between nodes. GET /corpus streams the node's
-// verified results (journal-backed OK rows plus live cache entries) as
-// canonical NDJSON — a header with node identity, one row per entry carrying
-// the canonical key, the normalized request and the exact cacheable result
-// bytes, and an end trailer with a running checksum so truncation or
-// tampering is always detectable. With Peers + PeerWarm configured, a fresh
-// node pulls that stream from the first reachable sibling at startup (in the
-// background, never delaying its own serving), re-verifies every row against
-// the same gate as WarmCache, and serves the fleet's working set as cache
-// hits with source=peer provenance. The warm-up retries with capped
-// exponential backoff, fails over across peers, stops inserting once the
-// cache is full, and degrades to a cold start when the whole fleet is down.
+// Each computed result is encoded once, by the worker (encodeRuns); the
+// /simulate body, the cache, the batch journal, the stream and grid lines
+// and the /corpus rows all carry those bytes unchanged. Stored results
+// re-enter the node only through one verification gate, admit.
+//
+// POST /batch expands a sweep spec into rows and streams completed rows back
+// as NDJSON; GET /batch/{id} reports per-row status and provenance and GET
+// /batch/{id}/grid re-serves the terminal rows. With a journal directory
+// configured (package jobs), the spec and every row completion are fsync'd:
+// a restarted server resumes unfinished jobs, never recomputes journaled
+// rows, and produces a grid byte-identical to an uninterrupted run's across
+// arbitrary crash/restart sequences (torn tails are truncated and corrupt
+// lines cut out before any append). A per-row-key circuit breaker
+// quarantines configurations that panic on QuarantineAfter distinct engines
+// (typed row_quarantined). Drain checkpoints undispatched rows as unstarted,
+// so zero rows are lost. Retention bounds a long-lived daemon by job count
+// (MaxBatchJobs) and age (JournalMaxAge), and finished jobs' logs are
+// compacted at resume. WarmCache loads journaled rows into the result cache
+// at startup, served as cache hits with source=journal provenance.
+//
+// GET /corpus streams the node's verified results (journal-backed rows plus
+// live cache entries) as canonical NDJSON with a checksummed trailer, so
+// truncation or tampering is always detectable. With Peers + PeerWarm, a
+// fresh node pulls that stream from the first reachable sibling in the
+// background, admits every row through the same gate, and serves the
+// fleet's working set with source=peer provenance, retrying, failing over
+// and degrading to a cold start when the whole fleet is down.
 //
 // The FaultInjector hook injects delayed, panicking and stuck attempts —
 // plus truncated, corrupted, stalled and erroring corpus exports — so the
@@ -69,6 +64,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -97,12 +93,12 @@ type Config struct {
 	// (default 3: one try, two retries).
 	MaxAttempts int
 	// RetryBackoff is the base backoff before retry k (doubled per retry,
-	// default 5ms).
+	// default 5ms); a batch row rejoining a flight backs off the same way.
 	RetryBackoff time.Duration
-	// HedgeAfter re-dispatches a request to a second worker when the first
-	// has not answered in this long; 0 disables hedging. Determinism makes
-	// hedging trivially correct: both attempts produce byte-equal results,
-	// whichever lands first wins.
+	// HedgeAfter re-dispatches a /simulate request or batch row to a second
+	// worker when the first has not answered in this long; 0 disables
+	// hedging. Determinism makes hedging trivially correct: both attempts
+	// produce byte-equal results, whichever lands first wins.
 	HedgeAfter time.Duration
 	// DefaultDeadline bounds requests that carry no deadline_ms of their
 	// own; 0 means no default deadline.
@@ -305,27 +301,13 @@ type Stats struct {
 // add bumps one counter; all counter access is atomic.
 func (st *Stats) add(f *int64, n int64) { atomic.AddInt64(f, n) }
 
-// snapshot copies the counters atomically.
+// snapshot copies the counters atomically. It walks the struct's fields, so
+// Stats itself is the only list of counters: every field is an int64.
 func (st *Stats) snapshot() Stats {
 	var out Stats
-	for _, c := range []struct{ dst, src *int64 }{
-		{&out.Received, &st.Received}, {&out.OK, &st.OK}, {&out.Invalid, &st.Invalid},
-		{&out.RateLimited, &st.RateLimited}, {&out.QueueFull, &st.QueueFull},
-		{&out.DrainRejected, &st.DrainRejected}, {&out.DeadlineExpired, &st.DeadlineExpired},
-		{&out.TooLarge, &st.TooLarge},
-		{&out.Internal, &st.Internal}, {&out.CacheHits, &st.CacheHits},
-		{&out.CacheWarmed, &st.CacheWarmed},
-		{&out.Dedups, &st.Dedups}, {&out.Simulations, &st.Simulations},
-		{&out.Panics, &st.Panics}, {&out.Retries, &st.Retries},
-		{&out.Hedges, &st.Hedges}, {&out.HedgeWins, &st.HedgeWins},
-		{&out.Quarantined, &st.Quarantined},
-		{&out.BatchJobs, &st.BatchJobs}, {&out.BatchRows, &st.BatchRows},
-		{&out.RowsQuarantined, &st.RowsQuarantined},
-		{&out.CorpusExported, &st.CorpusExported}, {&out.CorpusImported, &st.CorpusImported},
-		{&out.CorpusRejected, &st.CorpusRejected}, {&out.WarmSkipped, &st.WarmSkipped},
-		{&out.PeerWarmFailures, &st.PeerWarmFailures},
-	} {
-		*c.dst = atomic.LoadInt64(c.src)
+	src, dst := reflect.ValueOf(st).Elem(), reflect.ValueOf(&out).Elem()
+	for i := range src.NumField() {
+		dst.Field(i).SetInt(atomic.LoadInt64(src.Field(i).Addr().Interface().(*int64)))
 	}
 	return out
 }
@@ -598,43 +580,39 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	key := req.Key()
 	tr.setKey(key)
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
-	if deadline <= 0 {
-		deadline = s.cfg.DefaultDeadline
-	}
-
-	c, leader := s.flight.join(key)
-	if leader {
-		// The shared computation runs under the server's lifetime context
-		// plus this request's deadline — NOT the HTTP request context, so a
-		// disconnecting leader cannot kill a result its followers await.
-		workCtx := s.baseCtx
-		if deadline > 0 {
-			var cancel context.CancelFunc
-			workCtx, cancel = context.WithTimeout(workCtx, deadline)
-			defer cancel()
-		}
-		p, reject := s.compute(workCtx, &req, key, tr)
-		s.flight.finish(key, c, p, reject)
-		s.respond(w, p, reject, false, start, tr, req.Trace)
+	ctx, cancel := s.requestCtx(req.DeadlineMS)
+	defer cancel()
+	p, src, _, reject := s.resolve(ctx, key, &req, tr, shed)
+	if reject != nil {
+		s.rejectTraced(w, reject, tr, req.Trace)
 		return
 	}
+	// The timeline attaches to the response envelope only — never the
+	// payload — so traced, untraced, cached and deduped responses all carry
+	// byte-identical result bytes.
+	s.stats.add(&s.stats.OK, 1)
+	tl := tr.finish("ok")
+	s.tracer.push(tl)
+	resp := Response{payload: *p, Dedup: src == sourceDedup, ElapsedMS: time.Since(start).Milliseconds()}
+	if req.Trace {
+		resp.Trace = tl
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
 
-	// Follower: share the leader's outcome, bounded by our own deadline.
-	s.stats.add(&s.stats.Dedups, 1)
-	tr.event(evDedupFollower, "awaiting in-flight leader")
-	waitCtx := r.Context()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		waitCtx, cancel = context.WithTimeout(waitCtx, deadline)
-		defer cancel()
+// requestCtx is the context a request's result is resolved under: the
+// server's lifetime context — NOT the HTTP request's, so a disconnecting
+// leader cannot kill a result its followers await — bounded by the
+// request's deadline_ms, or the server default when it names none.
+func (s *Server) requestCtx(deadlineMS int) (context.Context, context.CancelFunc) {
+	d := time.Duration(deadlineMS) * time.Millisecond
+	if d <= 0 {
+		d = s.cfg.DefaultDeadline
 	}
-	select {
-	case <-c.done:
-		s.respond(w, c.p, c.reject, true, start, tr, req.Trace)
-	case <-waitCtx.Done():
-		s.rejectTraced(w, errDeadline(), tr, req.Trace)
+	if d <= 0 {
+		return s.baseCtx, func() {}
 	}
+	return context.WithTimeout(s.baseCtx, d)
 }
 
 // errCtxExpired types a context-expiry rejection: a deadline that actually
@@ -643,49 +621,113 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // previously both surfaced as deadline_expired, blaming the client for the
 // server's own shutdown.
 func (s *Server) errCtxExpired(ctx context.Context) *apiError {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return errDeadline()
-	}
-	if s.baseCtx.Err() != nil {
+	if !errors.Is(ctx.Err(), context.DeadlineExceeded) && s.baseCtx.Err() != nil {
 		return errDraining()
 	}
 	return errDeadline()
 }
 
-// compute is the leader's path: cache, then admission, then the worker
-// fleet. The cache is written before the flight record is released (in
-// handleSimulate), so a request arriving after completion finds either the
-// in-flight call or the cached payload — never a gap that would recompute.
-func (s *Server) compute(ctx context.Context, req *Request, key string, tr *trace) (*payload, *apiError) {
-	if p, ok := s.cache.Get(key); ok {
-		s.stats.add(&s.stats.CacheHits, 1)
-		tr.event(evCacheHit, cacheHitDetail(p))
-		hit := *p // shallow copy: Runs is shared and immutable
-		hit.Cached = true
-		return &hit, nil
+// mode is resolve's one per-surface input: how a cache miss is admitted.
+type mode int
+
+const (
+	// shed is /simulate's mode: the leader spends an admission token and a
+	// full queue answers queue_full, so a storm degrades into fast
+	// rejections instead of melting the host.
+	shed mode = iota
+	// block is the batch rows' mode: the batch was admitted as a whole, so
+	// rows spend no token and wait for queue room, and a follower that
+	// inherits a transient rejection rejoins the flight after a backoff.
+	block
+)
+
+// transient reports whether a rejection describes how a request was served
+// rather than its result: admission, a deadline, or a drain. A batch row
+// that inherits one from a flight leader retries under its own context, and
+// one that escapes while the server stops checkpoints the row instead of
+// journaling it.
+func transient(code string) bool {
+	switch code {
+	case codeRateLimited, codeQueueFull, codeDeadline, codeDraining:
+		return true
 	}
-	if !s.bucket.Take() {
-		return nil, errRateLimited()
-	}
-	p, reject := s.execute(ctx, req, key, tr)
-	if reject != nil {
-		return nil, reject
-	}
-	s.cache.Add(key, p)
-	return p, nil
+	return false
 }
 
-// execute dispatches the request to the worker fleet and waits, hedging a
-// straggler with one re-dispatch when configured. Result channels are
-// buffered for both attempts, so a losing attempt's late delivery is
-// dropped into the buffer, never blocking a worker.
-func (s *Server) execute(ctx context.Context, req *Request, key string, tr *trace) (*payload, *apiError) {
+// resolve is the one path from a canonical key to a result, for /simulate
+// (shed) and batch rows (block) alike: join the key's single flight; the
+// leader reads the cache, then dispatches to the worker queue and hedges a
+// straggler, while followers share its outcome. It returns the payload or a
+// typed rejection, where the payload came from (fresh, cache, dedup,
+// journal, peer) and how many worker attempts it took. In block mode a
+// follower that inherits a transient rejection — the leader's admission or
+// its own client-chosen deadline, which describe the leader's request, never
+// this one — rejoins the flight after retryBackoff; only once the server is
+// stopping does such a rejection escape.
+func (s *Server) resolve(ctx context.Context, key string, req *Request, tr *trace, m mode) (*payload, string, int, *apiError) {
+	for retry := 1; ; retry++ {
+		c, leader := s.flight.join(key)
+		if leader {
+			p, src, attempts, reject := s.lead(ctx, key, req, tr, m)
+			s.flight.finish(key, c, p, reject)
+			return p, src, attempts, reject
+		}
+		s.stats.add(&s.stats.Dedups, 1)
+		tr.event(evDedupFollower, "awaiting in-flight leader")
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			return nil, "", 0, s.errCtxExpired(ctx)
+		}
+		if c.reject == nil {
+			return c.p, sourceDedup, 0, nil
+		}
+		if m == shed || !transient(c.reject.Code) || s.stopDispatch() {
+			return nil, "", 0, c.reject
+		}
+		if !sleepCtx(ctx, retryBackoff(s.cfg.RetryBackoff, retry)) {
+			return nil, "", 0, s.errCtxExpired(ctx)
+		}
+	}
+}
+
+// lead is the flight leader's half of resolve: cache, then admission, then
+// the worker fleet, hedging a straggler with one re-dispatch when
+// HedgeAfter is set. The cache is written before resolve releases the
+// flight, so a request arriving after completion finds either the in-flight
+// call or the cached payload — never a gap that would recompute. The result
+// channel is buffered for both attempts, so a losing attempt's late
+// delivery is dropped into the buffer, never blocking a worker.
+func (s *Server) lead(ctx context.Context, key string, req *Request, tr *trace, m mode) (*payload, string, int, *apiError) {
+	if p, ok := s.cache.Get(key); ok {
+		// Entries warmed from the journal or a peer name their provenance
+		// on the cache_hit event; this process's own entries name none.
+		src, detail := sourceCache, ""
+		if p.warmSrc != "" {
+			src, detail = p.warmSrc, "source="+p.warmSrc
+		}
+		s.stats.add(&s.stats.CacheHits, 1)
+		tr.event(evCacheHit, detail)
+		hit := *p // shallow copy: Runs is shared and immutable
+		hit.Cached = true
+		return &hit, src, 0, nil
+	}
+	if m == shed && !s.bucket.Take() {
+		return nil, "", 0, errRateLimited()
+	}
 	res := make(chan jobResult, 2)
-	if !s.enqueue(&job{ctx: ctx, req: req, key: key, res: res, tr: tr}) {
-		return nil, errQueueFull()
+	primary := &job{ctx: ctx, req: req, key: key, res: res, tr: tr}
+	if m == block {
+		select {
+		case s.queue <- primary:
+		case <-ctx.Done():
+			return nil, "", 0, s.errCtxExpired(ctx)
+		}
+	} else if !s.enqueue(primary) {
+		return nil, "", 0, errQueueFull()
 	}
 	tr.event(evQueued, "")
-	outstanding := 1
+	outstanding, attempts := 1, 0
 	var hedgeC <-chan time.Time
 	if s.cfg.HedgeAfter > 0 {
 		t := time.NewTimer(s.cfg.HedgeAfter)
@@ -697,17 +739,19 @@ func (s *Server) execute(ctx context.Context, req *Request, key string, tr *trac
 		select {
 		case r := <-res:
 			outstanding--
+			attempts += r.attempts
 			if r.reject == nil {
 				if r.hedge {
 					s.stats.add(&s.stats.HedgeWins, 1)
 				}
-				return r.p, nil
+				s.cache.Add(key, r.p)
+				return r.p, sourceFresh, attempts, nil
 			}
 			if firstReject == nil {
 				firstReject = r.reject
 			}
 			if outstanding == 0 {
-				return nil, firstReject
+				return nil, "", attempts, firstReject
 			}
 		case <-hedgeC:
 			hedgeC = nil
@@ -721,13 +765,13 @@ func (s *Server) execute(ctx context.Context, req *Request, key string, tr *trac
 		case <-ctx.Done():
 			// The workers observe the same context and answer into the
 			// buffered channel on their own schedule.
-			return nil, s.errCtxExpired(ctx)
+			return nil, "", attempts, s.errCtxExpired(ctx)
 		}
 	}
 }
 
 // enqueue offers a job to the bounded queue without blocking; false means
-// the queue is full (load shed).
+// the queue is full (load shed, or no room for a hedge).
 func (s *Server) enqueue(j *job) bool {
 	select {
 	case s.queue <- j:
@@ -737,38 +781,10 @@ func (s *Server) enqueue(j *job) bool {
 	}
 }
 
-// respond writes the success or rejection for one request, sealing its
-// timeline with the matching outcome. The timeline attaches to the response
-// envelope only — never the payload — so traced, untraced, cached and
-// deduped responses all carry byte-identical result bytes.
-func (s *Server) respond(w http.ResponseWriter, p *payload, reject *apiError, dedup bool, start time.Time, tr *trace, attach bool) {
-	if reject != nil {
-		s.rejectTraced(w, reject, tr, attach)
-		return
-	}
-	s.stats.add(&s.stats.OK, 1)
-	tl := tr.finish("ok")
-	s.tracer.push(tl)
-	resp := Response{
-		payload:   *p,
-		Dedup:     dedup,
-		ElapsedMS: time.Since(start).Milliseconds(),
-	}
-	if attach {
-		resp.Trace = tl
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// writeReject writes a typed rejection and bumps its outcome counter.
-func (s *Server) writeReject(w http.ResponseWriter, e *apiError) {
-	s.rejectTraced(w, e, nil, false)
-}
-
-// rejectTraced is writeReject plus timeline bookkeeping: the trace is sealed
-// with the rejection's code as its terminal outcome (keeping /tracez in
-// lock-step with the ledger) and attached to the error body when the request
-// opted in.
+// rejectTraced writes a typed rejection and bumps its outcome counter. The
+// trace is sealed with the rejection's code as its terminal outcome (keeping
+// /tracez in lock-step with the ledger) and attached to the error body when
+// the request opted in.
 func (s *Server) rejectTraced(w http.ResponseWriter, e *apiError, tr *trace, attach bool) {
 	s.bumpOutcome(e)
 	tl := tr.finish(e.Code)

@@ -88,13 +88,16 @@ func (j *job) deliver(r jobResult) {
 // on any other worker, this process lifetime) is answered with a typed
 // row_quarantined instead of burning attempts poisoning more engines.
 func (w *worker) process(j *job) {
-	max := w.s.cfg.MaxAttempts
+	quarantined := func(a int) *apiError {
+		n := w.s.breaker.Panics(j.key)
+		j.tr.add(evQuarantined, w.id, j.attemptBase+a, fmt.Sprintf("breaker tripped after %d panics", n))
+		return errQuarantined(n)
+	}
 	var reject *apiError
 	tried := 0
-	for a := 0; a < max; a++ {
+	for a := 0; a < w.s.cfg.MaxAttempts; a++ {
 		if w.s.breaker.Tripped(j.key) {
-			j.tr.add(evQuarantined, w.id, j.attemptBase+a, fmt.Sprintf("breaker tripped after %d panics", w.s.breaker.Panics(j.key)))
-			reject = errQuarantined(w.s.breaker.Panics(j.key))
+			reject = quarantined(a)
 			break
 		}
 		if a > 0 {
@@ -119,8 +122,7 @@ func (w *worker) process(j *job) {
 			// engine; the breaker counts them across workers and retries.
 			j.tr.add(evPanicked, w.id, j.attemptBase+a, err.Error())
 			if w.s.breaker.Record(j.key) {
-				j.tr.add(evQuarantined, w.id, j.attemptBase+a, fmt.Sprintf("breaker tripped after %d panics", w.s.breaker.Panics(j.key)))
-				reject = errQuarantined(w.s.breaker.Panics(j.key))
+				reject = quarantined(a)
 				break
 			}
 			reject = errInternal(fmt.Sprintf("simulation panicked %d time(s): %v", a+1, err))
@@ -224,7 +226,7 @@ func (w *worker) attempt(j *job, attempt int) (*payload, error) {
 		}
 		out = append(out, sum)
 	}
-	return &payload{Key: j.key, Alg: j.req.Alg, Runs: out, req: wireRequest(*j.req)}, nil
+	return &payload{Key: j.key, Alg: j.req.Alg, Runs: encodeRuns(out), req: wireRequest(*j.req)}, nil
 }
 
 // runOne performs a single simulated run on a pooled engine, recovering
